@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"reno/internal/backend"
 	"reno/internal/emu"
 	"reno/internal/pipeline"
 	"reno/internal/reno"
@@ -66,5 +67,39 @@ func TestSteadyStateCommitPathZeroAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("steady-state cycle loop allocates %.2f times per 5000 cycles; want 0", avg)
+	}
+}
+
+// TestEngineLoopAllocsFixed pins the functional and approx backends' shared
+// emulator-plus-engine loop: a run allocates a fixed amount however many
+// instructions it decides. A per-instruction heap escape on that loop (say,
+// of the emu.Dyn record whose address the approx hook receives) shows here
+// as a count that grows with the budget; wall-clock tests see it only as
+// noise-sized slowdowns. Both budgets run past the point where every
+// physical register has its integration-table index list.
+func TestEngineLoopAllocsFixed(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed by the race detector")
+	}
+	prof, ok := workload.ByName("gzip")
+	if !ok {
+		t.Fatal("gzip profile missing")
+	}
+	w := workload.MustBuild(prof)
+	for _, k := range []backend.Kind{backend.Functional, backend.Approx} {
+		for _, rc := range []reno.Config{reno.Baseline(160), reno.Default(160)} {
+			allocs := func(budget uint64) float64 {
+				req := backend.Request{Cfg: pipeline.FourWide(rc), Code: w.Code, MaxInsts: budget}
+				return testing.AllocsPerRun(3, func() {
+					if _, err := backend.For(k).Run(context.Background(), req); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			if short, long := allocs(20_000), allocs(60_000); short != long {
+				t.Errorf("%v backend, RENO enabled=%v: %.0f allocations at 20000 instructions but %.0f at 60000; want equal",
+					k, rc.AnyEnabled(), short, long)
+			}
+		}
 	}
 }

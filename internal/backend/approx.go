@@ -42,7 +42,8 @@ func (approxBackend) Run(ctx context.Context, req Request) (*Result, error) {
 		lastBlock: ^uint64(0),
 		ring:      make([]uint64, req.Cfg.ROBSize),
 	}
-	hook := func(d emu.Dyn, dec elim.Decision) { st.step(req.Cfg, d, dec) }
+	cfg := &req.Cfg
+	hook := func(d *emu.Dyn, dec *elim.Decision) { st.step(cfg, d, dec) }
 	finish := func(run *engineRun, r *pipeline.Result) { st.finish(run, r) }
 	return runEngine(ctx, req, hook, finish)
 }
@@ -66,7 +67,7 @@ type approxState struct {
 }
 
 //reno:hotpath
-func (st *approxState) step(cfg pipeline.Config, d emu.Dyn, dec elim.Decision) {
+func (st *approxState) step(cfg *pipeline.Config, d *emu.Dyn, dec *elim.Decision) {
 	in := d.Inst
 
 	// Front end: FetchWidth instructions per cycle, stretched by I$ misses

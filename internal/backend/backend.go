@@ -171,7 +171,7 @@ const (
 )
 
 //reno:hotpath
-func (c *commitHasher) add(d emu.Dyn) {
+func (c *commitHasher) add(d *emu.Dyn) {
 	iw := uint64(d.Inst.Op)<<40 | uint64(d.Inst.Rd)<<32 |
 		uint64(d.Inst.Rs)<<24 | uint64(d.Inst.Rt)<<16
 	a := d.PC*hashC1 ^ d.NextPC*hashC2 ^ d.EA*hashC3 ^ iw*hashC4

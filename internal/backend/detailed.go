@@ -18,7 +18,7 @@ func (detailedBackend) Run(ctx context.Context, req Request) (*Result, error) {
 	opts := req.Opts
 	prev := opts.FeedObserver
 	opts.FeedObserver = func(d emu.Dyn) {
-		ch.add(d)
+		ch.add(&d)
 		if prev != nil {
 			prev(d)
 		}

@@ -172,7 +172,7 @@ func TestApproxIPCTolerance(t *testing.T) {
 // regimes: baseline screening (no elimination accounting, emulator speed)
 // must beat detailed timing by an order of magnitude; with full RENO
 // accounting the elimination engine is shared work on both sides, and the
-// measured gap is ~3x (see docs/backends.md), pinned here at >= 2x.
+// measured gap is ~4x (see docs/backends.md), pinned here at >= 2x.
 func TestFunctionalSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison skipped in -short")

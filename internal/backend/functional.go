@@ -40,8 +40,9 @@ type engineRun struct {
 // budget the detailed feed applies. hook (may be nil) observes each timed
 // instruction with its decision; finishHook (may be nil) stamps
 // backend-specific timing fields onto the result before percentages are
-// derived.
-func runEngine(ctx context.Context, req Request, hook func(d emu.Dyn, dec elim.Decision), finishHook func(run *engineRun, r *pipeline.Result)) (*Result, error) {
+// derived. The hook's arguments are valid only for the duration of the call:
+// both are overwritten by the next instruction.
+func runEngine(ctx context.Context, req Request, hook func(d *emu.Dyn, dec *elim.Decision), finishHook func(run *engineRun, r *pipeline.Result)) (*Result, error) {
 	if err := req.Cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("backend: %w", err)
 	}
@@ -71,7 +72,11 @@ func runEngine(ctx context.Context, req Request, hook func(d emu.Dyn, dec elim.D
 	ch := newCommitHasher()
 	run := &engineRun{eng: eng, m: m}
 	canceled := false
-	var dec elim.Decision
+	// d and dec live across iterations: the hook takes their addresses, so
+	// declared inside the loop they would move to the heap once per
+	// instruction. A BASE run (no engine) hands the hook a zero decision.
+	var d emu.Dyn
+	dec := &elim.Decision{}
 	for !m.Halted && !(req.MaxInsts > 0 && m.ICount >= req.Warmup+req.MaxInsts) {
 		if done != nil && m.ICount%ctxCheckInterval == 0 {
 			select {
@@ -83,14 +88,15 @@ func runEngine(ctx context.Context, req Request, hook func(d emu.Dyn, dec elim.D
 				break
 			}
 		}
-		d, err := m.Step()
+		var err error
+		d, err = m.Step()
 		if err != nil {
 			return nil, fmt.Errorf("backend trace feed: %w", err)
 		}
 		if req.Opts.FeedObserver != nil {
 			req.Opts.FeedObserver(d)
 		}
-		ch.add(d)
+		ch.add(&d)
 		if eng != nil {
 			dec, err = eng.Next(d)
 			if err != nil {
@@ -98,7 +104,7 @@ func runEngine(ctx context.Context, req Request, hook func(d emu.Dyn, dec elim.D
 			}
 		}
 		if hook != nil {
-			hook(d, dec)
+			hook(&d, dec)
 		}
 		run.insts++
 	}

@@ -34,6 +34,16 @@
 // invalidates the stale tuple, counts a re-execution failure, renames the
 // load conventionally, and marks the decision MisBypass so the detailed
 // pipeline can model the retirement-time squash-and-replay.
+//
+// # Decision ownership
+//
+// Next builds each Decision in storage the engine owns and returns a
+// pointer to it; the pointer is valid only until the next call to Next,
+// which overwrites it. A consumer that keeps a decision past that point
+// copies what it needs first (the detailed pipeline copies the record into
+// its ROB entry once). The engine's own commit window keeps no records at
+// all, only the physical register each in-flight decision frees at commit,
+// so deciding an instruction copies no rename record.
 package elim
 
 import (
@@ -73,12 +83,16 @@ type Engine struct {
 	mask  uint32
 	idx   uint64 // instructions decided
 
-	// win is the decision window: a ring of at most winSize (= ROBSize)
-	// records whose commit-time resources are still held.
-	win       []reno.Renamed
+	// win is the decision window: a ring of at most ROBSize in-flight
+	// decisions, each entry the physical register the decision's displaced
+	// mapping holds until commit (-1 when it has no destination).
+	win       []int32
 	winHead   int
 	winCount  int
 	committed uint64
+
+	// dec is the storage behind the pointer Next returns.
+	dec Decision
 
 	reexecFails uint64
 }
@@ -96,7 +110,7 @@ func New(cfg reno.Config, robSize, renameWidth int) *Engine {
 	return &Engine{
 		opt:   reno.New(cfg),
 		width: renameWidth,
-		win:   make([]reno.Renamed, robSize),
+		win:   make([]int32, robSize),
 	}
 }
 
@@ -117,13 +131,14 @@ func (e *Engine) Decided() uint64 { return e.idx }
 // Committed returns the engine's commit-pointer position.
 func (e *Engine) Committed() uint64 { return e.committed }
 
-// commitOldest retires the oldest window record, releasing the physical
-// register its displacement holds.
+// commitOldest retires the oldest in-flight decision, releasing the
+// physical register its displaced mapping holds.
 //
 //reno:hotpath
 func (e *Engine) commitOldest() {
-	r := &e.win[e.winHead]
-	e.opt.Commit(r)
+	if p := e.win[e.winHead]; p >= 0 {
+		e.opt.Release(int(p))
+	}
 	e.winHead++
 	if e.winHead == len(e.win) {
 		e.winHead = 0
@@ -134,10 +149,11 @@ func (e *Engine) commitOldest() {
 
 // Next decides instruction d. Instructions must be presented exactly once
 // each, in program order (the committed stream); timing-model replays reuse
-// the record returned here rather than calling Next again.
+// the record returned here rather than calling Next again. The returned
+// Decision is engine-owned and valid until the next call.
 //
 //reno:hotpath
-func (e *Engine) Next(d emu.Dyn) (Decision, error) {
+func (e *Engine) Next(d emu.Dyn) (*Decision, error) {
 	if e.idx%uint64(e.width) == 0 {
 		e.mask = 0 // fixed group boundary: the in-group restriction resets
 	}
@@ -145,7 +161,8 @@ func (e *Engine) Next(d emu.Dyn) (Decision, error) {
 		e.commitOldest()
 	}
 
-	var dec Decision
+	dec := &e.dec
+	dec.MisBypass = false
 	in := d.Inst
 
 	// Pre-adjudicate speculative load bypassing: if this load would
@@ -170,29 +187,30 @@ func (e *Engine) Next(d emu.Dyn) (Decision, error) {
 		result = d.SrcVals[1] // stored data value
 	}
 	gi := reno.GroupInst{Inst: in, Result: result}
-	r, ok := e.opt.RenameOne(gi, e.mask)
-	for !ok {
+	r := &dec.Ren
+	for !e.opt.RenameOne(r, gi, e.mask) {
 		// Physical register file exhausted: force-commit older decisions
 		// until an allocation succeeds, publishing the commit floor.
 		if e.winCount == 0 {
 			//lint:ignore hotalloc fatal-error path, taken at most once per run
-			return Decision{}, fmt.Errorf("elim: %d physical registers exhausted with no in-flight work at instruction %d",
+			return nil, fmt.Errorf("elim: %d physical registers exhausted with no in-flight work at instruction %d",
 				e.opt.Config().PhysRegs, e.idx)
 		}
 		e.commitOldest()
-		r, ok = e.opt.RenameOne(gi, e.mask)
 	}
-	e.mask = reno.UpdateGroupMask(e.mask, &r)
+	e.mask = reno.UpdateGroupMask(e.mask, r)
 
 	tail := e.winHead + e.winCount
 	if tail >= len(e.win) {
 		tail -= len(e.win)
 	}
-	e.win[tail] = r
+	e.win[tail] = -1
+	if r.HasDest {
+		e.win[tail] = int32(r.OldMap.P)
+	}
 	e.winCount++
 	e.idx++
 
-	dec.Ren = r
 	dec.MinCommitted = e.committed
 	return dec, nil
 }

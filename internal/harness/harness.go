@@ -1,8 +1,6 @@
 // Package harness drives the experiments of Section 4: it runs benchmark
 // suites across processor and RENO configurations and renders the rows and
-// series of every table and figure in the paper's evaluation. See the
-// per-experiment index in DESIGN.md and the paper-vs-measured record in
-// EXPERIMENTS.md.
+// series of every table and figure in the paper's evaluation.
 package harness
 
 import (

@@ -81,7 +81,7 @@ const (
 
 	// Floating point stand-ins: long-latency ALU ops on the integer file.
 	// They exist so that FP-heavy benchmark mixes (mesa, epic) are
-	// representable. See DESIGN.md non-goals.
+	// representable.
 	OpFAdd // rd = rs + rt, FP-latency
 	OpFMul // rd = rs * rt, FP-latency
 
@@ -221,50 +221,55 @@ func FormatOf(op Op) Format {
 	}
 }
 
+// opInfo holds the operand-independent decode attributes of one opcode.
+type opInfo struct {
+	class  Class // ClassOf, except that `jr ra` is ClassReturn
+	nsrc   uint8 // NumSources
+	writes bool  // writes Rd; HasDest also requires Rd != RZero
+}
+
+// opInfos maps every Op value, defined or not, to its attributes, so the
+// per-instruction queries below are one indexed load. Undefined opcodes
+// keep the register-register ALU defaults.
+var opInfos = func() (t [256]opInfo) {
+	for op := range t {
+		t[op] = opInfo{class: ClassIntALU, nsrc: 2, writes: true}
+	}
+	for _, op := range [...]Op{OpAddi, OpSubi, OpAndi, OpOri, OpXori, OpSlli, OpSrli, OpSrai, OpLui} {
+		t[op].nsrc = 1
+	}
+	t[OpNop] = opInfo{class: ClassNop}
+	t[OpHalt] = opInfo{class: ClassHalt}
+	t[OpMul] = opInfo{class: ClassIntMul, nsrc: 2, writes: true}
+	t[OpDiv] = opInfo{class: ClassIntMul, nsrc: 2, writes: true}
+	t[OpFAdd] = opInfo{class: ClassFP, nsrc: 2, writes: true}
+	t[OpFMul] = opInfo{class: ClassFP, nsrc: 2, writes: true}
+	t[OpLd] = opInfo{class: ClassLoad, nsrc: 1, writes: true}
+	t[OpSt] = opInfo{class: ClassStore, nsrc: 2} // base + data
+	for _, op := range [...]Op{OpBeq, OpBne, OpBlt, OpBge} {
+		t[op] = opInfo{class: ClassBranch, nsrc: 2}
+	}
+	t[OpJmp] = opInfo{class: ClassBranch}
+	t[OpJal] = opInfo{class: ClassCall, writes: true}
+	t[OpJr] = opInfo{class: ClassBranch, nsrc: 1}
+	t[OpJalr] = opInfo{class: ClassCall, nsrc: 1, writes: true}
+	return t
+}()
+
 // ClassOf returns the coarse class of an instruction (class can depend on
 // operands: `jr ra` is a return, `jr rX` an indirect jump).
 func ClassOf(i Inst) Class {
-	switch i.Op {
-	case OpNop:
-		return ClassNop
-	case OpHalt:
-		return ClassHalt
-	case OpLd:
-		return ClassLoad
-	case OpSt:
-		return ClassStore
-	case OpMul, OpDiv:
-		return ClassIntMul
-	case OpFAdd, OpFMul:
-		return ClassFP
-	case OpBeq, OpBne, OpBlt, OpBge, OpJmp:
-		return ClassBranch
-	case OpJal, OpJalr:
-		return ClassCall
-	case OpJr:
-		if i.Rs == RRA {
-			return ClassReturn
-		}
-		return ClassBranch
-	default:
-		return ClassIntALU
+	if i.Op == OpJr && i.Rs == RRA {
+		return ClassReturn
 	}
+	return opInfos[i.Op].class
 }
 
 // HasDest reports whether the instruction writes a register (writes to RZero
 // do not count: they are architectural no-ops and the renamer must not
 // allocate for them).
 func HasDest(i Inst) bool {
-	switch FormatOf(i.Op) {
-	case FmtB, FmtN:
-		return false
-	case FmtJ:
-		return i.Op == OpJal && i.Rd != RZero
-	}
-	if i.Op == OpJr {
-		return false
-	}
-	return i.Rd != RZero
+	return opInfos[i.Op].writes && i.Rd != RZero
 }
 
 // IsMove reports whether i is the register-move idiom: an addi with a zero
@@ -308,37 +313,19 @@ func IsCFCandidate(i Inst) bool {
 // reads (RZero sources still count as a port read architecturally, but the
 // renamer may want to know the format).
 func NumSources(i Inst) int {
-	switch FormatOf(i.Op) {
-	case FmtN:
-		return 0
-	case FmtJ:
-		return 0
-	case FmtI:
-		return 1
-	case FmtB:
-		if i.Op == OpSt {
-			return 2 // base + data
-		}
-		return 2
-	}
-	switch i.Op {
-	case OpJr, OpJalr:
-		return 1
-	}
-	return 2
+	return int(opInfos[i.Op].nsrc)
 }
 
 // Sources returns the registers the instruction reads. Slots beyond
 // NumSources are RZero.
 func Sources(i Inst) (rs, rt Reg) {
-	switch NumSources(i) {
+	switch opInfos[i.Op].nsrc {
 	case 0:
 		return RZero, RZero
 	case 1:
 		return i.Rs, RZero
-	default:
-		return i.Rs, i.Rt
 	}
+	return i.Rs, i.Rt
 }
 
 // Encode packs an instruction into a 32-bit word.

@@ -53,10 +53,8 @@ type Entry struct {
 
 	// Value is the 64-bit value this tuple's output register (plus
 	// displacement) holds; used to adjudicate speculative load integration
-	// at retirement. HasValue is false for tuples created before the value
-	// was known (never the case in this simulator, but kept explicit).
-	Value    uint64
-	HasValue bool
+	// at retirement.
+	Value uint64
 
 	age uint64 // for LRU within a set
 }
@@ -239,20 +237,23 @@ func (t *Table) Peek(op isa.Op, imm int32, in1, in2 renamer.Mapping) (out rename
 	return renamer.Mapping{}, 0, false, false
 }
 
-// Insert installs a tuple, evicting LRU within the set. Duplicate tuples
-// (same signature) are refreshed in place.
-func (t *Table) Insert(e Entry) {
+// Insert installs the tuple <op/imm, in1, in2 -> out>, evicting LRU within
+// the set; value is the oracle value out holds and reverse marks a tuple
+// created for its anticipated counterpart. A duplicate signature is
+// refreshed in place. The chosen slot is written field by field, so the
+// per-rename insert copies no Entry.
+//
+//reno:hotpath
+func (t *Table) Insert(op isa.Op, imm int32, in1, in2, out renamer.Mapping, reverse bool, value uint64) {
 	t.Inserts++
-	lo, hi := t.setBounds(t.hash(e.Op, e.Imm, e.In1))
+	lo, hi := t.setBounds(t.hash(op, imm, in1))
 	t.tick++
-	e.Valid = true
-	e.age = t.tick
 	// Refresh an existing identical signature.
 	for i := lo; i < hi; i++ {
-		old := &t.entries[i]
-		if old.Valid && old.Op == e.Op && old.Imm == e.Imm && old.In1 == e.In1 && old.In2 == e.In2 {
-			*old = e
-			t.register(i, e.Out.P) // inputs match the old tuple's, already indexed
+		e := &t.entries[i]
+		if e.Valid && e.Op == op && e.Imm == imm && e.In1 == in1 && e.In2 == in2 {
+			e.Out, e.Reverse, e.Value, e.age = out, reverse, value, t.tick
+			t.register(i, out.P) // inputs match the old tuple's, already indexed
 			return
 		}
 	}
@@ -266,10 +267,12 @@ func (t *Table) Insert(e Entry) {
 			victim, oldest = i, t.entries[i].age
 		}
 	}
-	t.entries[victim] = e
-	t.register(victim, e.In1.P)
-	t.register(victim, e.In2.P)
-	t.register(victim, e.Out.P)
+	e := &t.entries[victim]
+	e.Valid, e.Op, e.Imm, e.In1, e.In2, e.Out = true, op, imm, in1, in2, out
+	e.Reverse, e.Value, e.age = reverse, value, t.tick
+	t.register(victim, in1.P)
+	t.register(victim, in2.P)
+	t.register(victim, out.P)
 }
 
 // physIndexCap bounds each register's candidate list. Between two reclaims

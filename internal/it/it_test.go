@@ -9,11 +9,16 @@ import (
 
 func m(p int, d int32) renamer.Mapping { return renamer.Mapping{P: p, D: d} }
 
+// insert installs the tuple an Entry literal describes.
+func insert(tb *Table, e Entry) {
+	tb.Insert(e.Op, e.Imm, e.In1, e.In2, e.Out, e.Reverse, e.Value)
+}
+
 func TestInsertLookupHit(t *testing.T) {
 	tb := New(512, 2, PolicyLoadsOnly)
-	tb.Insert(Entry{
+	insert(tb, Entry{
 		Op: isa.OpLd, Imm: 8, In1: m(1, 0), In2: m(0, 0),
-		Out: m(3, 0), Value: 77, HasValue: true,
+		Out: m(3, 0), Value: 77,
 	})
 	out, val, hit := tb.Lookup(isa.OpLd, 8, m(1, 0), m(0, 0))
 	if !hit || out != m(3, 0) || val != 77 {
@@ -23,7 +28,7 @@ func TestInsertLookupHit(t *testing.T) {
 
 func TestLookupMissOnDifferentSignature(t *testing.T) {
 	tb := New(512, 2, PolicyLoadsOnly)
-	tb.Insert(Entry{Op: isa.OpLd, Imm: 8, In1: m(1, 0), Out: m(3, 0)})
+	insert(tb, Entry{Op: isa.OpLd, Imm: 8, In1: m(1, 0), Out: m(3, 0)})
 	cases := []struct {
 		op   isa.Op
 		imm  int32
@@ -52,7 +57,7 @@ func TestFigure3CSE(t *testing.T) {
 	if _, _, hit := tb.Lookup(isa.OpLd, 8, m(p1, 0), m(0, 0)); hit {
 		t.Fatal("cold lookup hit")
 	}
-	tb.Insert(Entry{Op: isa.OpLd, Imm: 8, In1: m(p1, 0), In2: m(0, 0), Out: m(p3, 0)})
+	insert(tb, Entry{Op: isa.OpLd, Imm: 8, In1: m(p1, 0), In2: m(0, 0), Out: m(p3, 0)})
 
 	// load r4, 8(r1): redundant -> r4 shares p3.
 	out, _, hit := tb.Lookup(isa.OpLd, 8, m(p1, 0), m(0, 0))
@@ -74,9 +79,9 @@ func TestFigure3RA(t *testing.T) {
 
 	// store r2, 8(sp) with sp->[p8], r2->[p2]: reverse entry
 	// <load/8, p8 -> p2>.
-	tb.Insert(Entry{
+	insert(tb, Entry{
 		Op: isa.OpLd, Imm: 8, In1: m(p8, 0), In2: m(0, 0),
-		Out: m(p2, 0), Reverse: true, Value: 42, HasValue: true,
+		Out: m(p2, 0), Reverse: true, Value: 42,
 	})
 
 	// load r2, 8(sp) with sp back to [p8]: integrates to p2.
@@ -92,7 +97,7 @@ func TestFigure3RA(t *testing.T) {
 func TestFigure5CFInteraction(t *testing.T) {
 	tb := New(512, 2, PolicyLoadsOnly)
 	p1, p2 := 1, 2
-	tb.Insert(Entry{Op: isa.OpLd, Imm: 8, In1: m(p1, 4), In2: m(0, 0), Out: m(p2, 0)})
+	insert(tb, Entry{Op: isa.OpLd, Imm: 8, In1: m(p1, 4), In2: m(0, 0), Out: m(p2, 0)})
 	out, _, hit := tb.Lookup(isa.OpLd, 8, m(p1, 4), m(0, 0))
 	if !hit || out.P != p2 {
 		t.Errorf("displaced-signature integration failed: %v/%v", out, hit)
@@ -105,9 +110,9 @@ func TestFigure5CFInteraction(t *testing.T) {
 
 func TestInvalidatePhys(t *testing.T) {
 	tb := New(512, 2, PolicyFull)
-	tb.Insert(Entry{Op: isa.OpLd, Imm: 0, In1: m(1, 0), Out: m(3, 0)})
-	tb.Insert(Entry{Op: isa.OpAdd, In1: m(3, 0), In2: m(2, 0), Out: m(4, 0)})
-	tb.Insert(Entry{Op: isa.OpLd, Imm: 8, In1: m(5, 0), Out: m(6, 0)})
+	insert(tb, Entry{Op: isa.OpLd, Imm: 0, In1: m(1, 0), Out: m(3, 0)})
+	insert(tb, Entry{Op: isa.OpAdd, In1: m(3, 0), In2: m(2, 0), Out: m(4, 0)})
+	insert(tb, Entry{Op: isa.OpLd, Imm: 8, In1: m(5, 0), Out: m(6, 0)})
 
 	tb.InvalidatePhys(3) // frees p3: kills both entries touching it
 	if _, _, hit := tb.Lookup(isa.OpLd, 0, m(1, 0), m(0, 0)); hit {
@@ -123,7 +128,7 @@ func TestInvalidatePhys(t *testing.T) {
 
 func TestInvalidateSignature(t *testing.T) {
 	tb := New(512, 2, PolicyLoadsOnly)
-	tb.Insert(Entry{Op: isa.OpLd, Imm: 8, In1: m(1, 0), In2: m(0, 0), Out: m(3, 0)})
+	insert(tb, Entry{Op: isa.OpLd, Imm: 8, In1: m(1, 0), In2: m(0, 0), Out: m(3, 0)})
 	tb.InvalidateSignature(isa.OpLd, 8, m(1, 0), m(0, 0))
 	if _, _, hit := tb.Lookup(isa.OpLd, 8, m(1, 0), m(0, 0)); hit {
 		t.Error("invalidated signature still hits")
@@ -134,7 +139,7 @@ func TestSetConflictEviction(t *testing.T) {
 	tb := New(4, 2, PolicyLoadsOnly) // 2 sets x 2 ways: tiny on purpose
 	inserted := 0
 	for p := 1; p <= 16; p++ {
-		tb.Insert(Entry{Op: isa.OpLd, Imm: 0, In1: m(p, 0), Out: m(p+100, 0)})
+		insert(tb, Entry{Op: isa.OpLd, Imm: 0, In1: m(p, 0), Out: m(p+100, 0)})
 		inserted++
 	}
 	if occ := tb.Occupancy(); occ > 4 {
@@ -144,8 +149,8 @@ func TestSetConflictEviction(t *testing.T) {
 
 func TestDuplicateSignatureRefreshes(t *testing.T) {
 	tb := New(512, 2, PolicyLoadsOnly)
-	tb.Insert(Entry{Op: isa.OpLd, Imm: 8, In1: m(1, 0), Out: m(3, 0), Value: 1, HasValue: true})
-	tb.Insert(Entry{Op: isa.OpLd, Imm: 8, In1: m(1, 0), Out: m(9, 0), Value: 2, HasValue: true})
+	insert(tb, Entry{Op: isa.OpLd, Imm: 8, In1: m(1, 0), Out: m(3, 0), Value: 1})
+	insert(tb, Entry{Op: isa.OpLd, Imm: 8, In1: m(1, 0), Out: m(9, 0), Value: 2})
 	out, val, hit := tb.Lookup(isa.OpLd, 8, m(1, 0), m(0, 0))
 	if !hit || out.P != 9 || val != 2 {
 		t.Errorf("refresh lookup = %v,%d,%v", out, val, hit)
@@ -178,7 +183,7 @@ func TestPolicyCovers(t *testing.T) {
 
 func TestStatsCounting(t *testing.T) {
 	tb := New(512, 2, PolicyLoadsOnly)
-	tb.Insert(Entry{Op: isa.OpLd, Imm: 8, In1: m(1, 0), Out: m(3, 0)})
+	insert(tb, Entry{Op: isa.OpLd, Imm: 8, In1: m(1, 0), Out: m(3, 0)})
 	tb.Lookup(isa.OpLd, 8, m(1, 0), m(0, 0))
 	tb.Lookup(isa.OpLd, 9, m(1, 0), m(0, 0))
 	if tb.Inserts != 1 || tb.Lookups != 2 || tb.Hits != 1 {

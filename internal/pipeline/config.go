@@ -9,7 +9,7 @@
 // re-executions of integrated loads squash and replay in-flight work,
 // exercising RENO's rollback machinery. Wrong-path instructions do not
 // occupy resources (the standard fidelity compromise of trace-driven
-// simulation; see DESIGN.md §5).
+// simulation).
 //
 // Pipeline shape (13 stages, Section 4.1): 1 branch predict, 2 instruction
 // cache, 1 decode, 2 rename, 1 dispatch, 1 schedule, 2 register read,

@@ -516,9 +516,9 @@ func (s *Sim) fqAt(off int) *entry {
 // decoupled retirement queue; it fails only when the backlog exceeds the
 // queue depth. Stores use the store-retirement port; integrated load
 // re-executions use the load-port bandwidth their elimination vacated (a
-// capacity-neutral reading of the paper's re-execution scheme — see
-// DESIGN.md §5). A method rather than a per-commitStage closure: the commit
-// stage runs every cycle and must not allocate.
+// capacity-neutral reading of the paper's re-execution scheme). A method
+// rather than a per-commitStage closure: the commit stage runs every cycle
+// and must not allocate.
 //
 //reno:hotpath
 func (s *Sim) bookPort(freeAt *uint64, ports int) bool {
@@ -1036,6 +1036,8 @@ func (s *Sim) renameStage() {
 				s.engErr = err
 				return
 			}
+			// dec is engine-owned and overwritten by the next Next: this
+			// copy into the entry is the decision's only one.
 			e.ren = dec.Ren
 			e.misBypass = dec.MisBypass
 			e.minCommitted = dec.MinCommitted

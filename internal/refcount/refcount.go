@@ -70,17 +70,23 @@ func (t *Table) Alloc() (p int, ok bool) {
 		return 0, false
 	}
 	n := len(t.counts)
+	c := t.allocCursor
 	for i := 0; i < n; i++ {
-		c := (t.allocCursor + i) % n
 		if c != ZeroReg && t.counts[c] == 0 {
 			t.counts[c] = 1
 			t.free--
-			t.allocCursor = (c + 1) % n
+			t.allocCursor = c + 1
+			if t.allocCursor == n {
+				t.allocCursor = 0
+			}
 			t.Allocs++
 			if u := t.InUse(); u > t.MaxInUse {
 				t.MaxInUse = u
 			}
 			return c, true
+		}
+		if c++; c == n {
+			c = 0
 		}
 	}
 	// t.free said there was one; reaching here is a bookkeeping bug.

@@ -188,3 +188,33 @@ func TestMaxInUseTracking(t *testing.T) {
 		t.Errorf("MaxInUse = %d, want 3", tb.MaxInUse)
 	}
 }
+
+// TestAllocOrderIsCircularScan pins Alloc's order to the circular first-fit
+// scan from the cursor. Physical register numbers feed the integration-table
+// hash, so any change of order would move elimination results.
+func TestAllocOrderIsCircularScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const n = 13
+	tb := New(n)
+	cursor := 0
+	for op := 0; op < 5000; op++ {
+		if rng.Intn(2) == 0 {
+			want, wantOK := -1, false
+			for i := 0; i < n; i++ {
+				if c := (cursor + i) % n; c != ZeroReg && tb.Count(c) == 0 {
+					want, wantOK = c, true
+					cursor = (c + 1) % n
+					break
+				}
+			}
+			p, ok := tb.Alloc()
+			if ok != wantOK || (ok && p != want) {
+				t.Fatalf("op %d: Alloc = p%d,%v; circular scan gives p%d,%v", op, p, ok, want, wantOK)
+			}
+			continue
+		}
+		if p := 1 + rng.Intn(n-1); tb.Count(p) > 0 {
+			tb.Dec(p)
+		}
+	}
+}

@@ -243,10 +243,8 @@ type Optimizer struct {
 
 	Stats Stats
 
-	// scratch backs RenameGroupScratch so the per-cycle rename path
-	// allocates nothing; invScratch backs CheckInvariant's per-register
-	// tallies for the same reason on instrumented runs.
-	scratch    []Renamed
+	// invScratch backs CheckInvariant's per-register tallies so
+	// instrumented runs can call it without allocating.
 	invScratch []int
 }
 
@@ -296,73 +294,34 @@ var zeroMap = renamer.Mapping{P: refcount.ZeroReg}
 // be short of len(g) when the physical register file is exhausted — the
 // caller re-presents the remainder next cycle.
 func (o *Optimizer) RenameGroup(g []GroupInst) (out []Renamed, n int) {
-	return o.renameGroupInto(make([]Renamed, 0, len(g)), g)
-}
-
-// RenameGroupScratch is RenameGroup writing into a buffer the optimizer
-// owns and reuses: the returned records are valid only until the next
-// RenameGroupScratch call. The pipeline's rename stage copies each record
-// into its ROB entry immediately, so the steady-state rename path allocates
-// nothing.
-//
-//reno:hotpath
-func (o *Optimizer) RenameGroupScratch(g []GroupInst) (out []Renamed, n int) {
-	out, n = o.renameGroupInto(o.scratch[:0], g)
-	o.scratch = out[:0] // retain the (possibly grown) backing array
-	return out, n
-}
-
-//reno:hotpath
-func (o *Optimizer) renameGroupInto(out []Renamed, g []GroupInst) ([]Renamed, int) {
-	n := 0
+	out = make([]Renamed, len(g))
 	var elimDest uint32 // bitmask of logical regs written by group-eliminated insts
 	for _, gi := range g {
-		r, ok := o.renameOne(gi, elimDest)
-		if !ok {
+		r := &out[n]
+		if !o.RenameOne(r, gi, elimDest) {
 			break // structural stall: no free physical register
 		}
-		elimDest = UpdateGroupMask(elimDest, &r)
-		out = append(out, r)
+		elimDest = UpdateGroupMask(elimDest, r)
 		n++
 	}
-	return out, n
+	return out[:n], n
 }
 
-// RenameOne renames a single instruction against the current rename state.
-// elimDest is the group-dependence mask accumulated over older instructions
-// renamed in the same cycle (see UpdateGroupMask); pass 0 for the first
-// instruction of a group. ok is false when the physical register file is
-// exhausted — the caller re-presents the instruction once a register frees.
+// RenameOne renames a single instruction against the current rename state,
+// filling *r. elimDest is the group-dependence mask accumulated over older
+// instructions renamed in the same cycle (see UpdateGroupMask); pass 0 for
+// the first instruction of a group. It returns false when the physical
+// register file is exhausted — *r is then meaningless, and the caller
+// re-presents the instruction once a register frees.
 //
 // Callers that drive the optimizer one instruction at a time (the shared
 // elimination engine) use this; RenameGroup remains the whole-group
 // entry point.
 //
 //reno:hotpath
-func (o *Optimizer) RenameOne(gi GroupInst, elimDest uint32) (Renamed, bool) {
-	return o.renameOne(gi, elimDest)
-}
-
-// UpdateGroupMask folds one rename result into the same-group elimination
-// mask: an eliminated destination sets its bit (younger in-group readers
-// rename conventionally, Section 3.2), and a conventional rename of the same
-// logical register clears it.
-//
-//reno:hotpath
-func UpdateGroupMask(mask uint32, r *Renamed) uint32 {
-	if !r.HasDest {
-		return mask
-	}
-	if r.Elim {
-		return mask | 1<<uint(r.Dest)
-	}
-	return mask &^ (1 << uint(r.Dest))
-}
-
-//reno:hotpath
-func (o *Optimizer) renameOne(gi GroupInst, elimDest uint32) (Renamed, bool) {
+func (o *Optimizer) RenameOne(r *Renamed, gi GroupInst, elimDest uint32) bool {
 	in := gi.Inst
-	r := Renamed{Inst: in, Src: [2]renamer.Mapping{zeroMap, zeroMap}}
+	*r = Renamed{Inst: in, Src: [2]renamer.Mapping{zeroMap, zeroMap}}
 	rs, rt := isa.Sources(in)
 	r.NSrc = isa.NumSources(in)
 	if r.NSrc >= 1 {
@@ -384,10 +343,10 @@ func (o *Optimizer) renameOne(gi GroupInst, elimDest uint32) (Renamed, bool) {
 
 	// --- Elimination decision tree -------------------------------------
 	if r.HasDest && !depOnElim {
-		if o.tryEliminate(&r, gi) {
-			o.finishRecord(&r)
+		if o.tryEliminate(r, gi) {
+			o.finishRecord(r)
 			o.Stats.Renamed++
-			return r, true
+			return true
 		}
 	}
 	if r.HasDest && depOnElim && o.wouldEliminate(in) {
@@ -398,16 +357,32 @@ func (o *Optimizer) renameOne(gi GroupInst, elimDest uint32) (Renamed, bool) {
 	if r.HasDest {
 		p, ok := o.rc.Alloc()
 		if !ok {
-			return Renamed{}, false
+			return false
 		}
 		r.NewMap = renamer.Mapping{P: p}
 		r.OldMap = o.mt.SetNew(r.Dest, p)
-		o.insertForwardTuple(&r, gi)
+		o.insertForwardTuple(r, gi)
 	}
-	o.insertReverseTuples(&r, gi)
-	o.finishRecord(&r)
+	o.insertReverseTuples(r, gi)
+	o.finishRecord(r)
 	o.Stats.Renamed++
-	return r, true
+	return true
+}
+
+// UpdateGroupMask folds one rename result into the same-group elimination
+// mask: an eliminated destination sets its bit (younger in-group readers
+// rename conventionally, Section 3.2), and a conventional rename of the same
+// logical register clears it.
+//
+//reno:hotpath
+func UpdateGroupMask(mask uint32, r *Renamed) uint32 {
+	if !r.HasDest {
+		return mask
+	}
+	if r.Elim {
+		return mask | 1<<uint(r.Dest)
+	}
+	return mask &^ (1 << uint(r.Dest))
 }
 
 // wouldEliminate reports whether in is the kind of instruction the current
@@ -478,7 +453,7 @@ func (o *Optimizer) tryEliminate(r *Renamed, gi GroupInst) bool {
 	if o.cfg.EnableCSERA && o.it != nil && o.it.Covers(in) {
 		switch isa.ClassOf(in) {
 		case isa.ClassLoad:
-			outM, val, reverse, hit := o.lookupIT(isa.OpLd, in.Imm, r.Src[0], zeroMap)
+			outM, val, reverse, hit := o.it.LookupRev(isa.OpLd, in.Imm, r.Src[0], zeroMap)
 			if hit {
 				r.NewMap = outM
 				r.OldMap = o.mt.SetShared(r.Dest, outM)
@@ -494,7 +469,7 @@ func (o *Optimizer) tryEliminate(r *Renamed, gi GroupInst) bool {
 				return true
 			}
 		case isa.ClassIntALU:
-			outM, _, _, hit := o.lookupIT(in.Op, in.Imm, r.Src[0], r.Src[1])
+			outM, _, _, hit := o.it.LookupRev(in.Op, in.Imm, r.Src[0], r.Src[1])
 			if hit {
 				r.NewMap = outM
 				r.OldMap = o.mt.SetShared(r.Dest, outM)
@@ -508,15 +483,6 @@ func (o *Optimizer) tryEliminate(r *Renamed, gi GroupInst) bool {
 	return false
 }
 
-// lookupIT probes the integration table, tracking whether the hit entry was
-// a reverse (store-created) tuple.
-//
-//reno:hotpath
-func (o *Optimizer) lookupIT(op isa.Op, imm int32, in1, in2 renamer.Mapping) (out renamer.Mapping, val uint64, reverse, hit bool) {
-	out, val, rev, hit := o.it.LookupRev(op, imm, in1, in2)
-	return out, val, rev, hit
-}
-
 // insertForwardTuple installs the IT entry describing the value a
 // non-eliminated instruction is computing.
 //
@@ -527,19 +493,9 @@ func (o *Optimizer) insertForwardTuple(r *Renamed, gi GroupInst) {
 	}
 	switch isa.ClassOf(r.Inst) {
 	case isa.ClassLoad:
-		o.it.Insert(it.Entry{
-			Op: isa.OpLd, Imm: r.Inst.Imm,
-			In1: r.Src[0], In2: zeroMap,
-			Out:   r.NewMap,
-			Value: gi.Result, HasValue: true,
-		})
+		o.it.Insert(isa.OpLd, r.Inst.Imm, r.Src[0], zeroMap, r.NewMap, false, gi.Result)
 	case isa.ClassIntALU:
-		o.it.Insert(it.Entry{
-			Op: r.Inst.Op, Imm: r.Inst.Imm,
-			In1: r.Src[0], In2: r.Src[1],
-			Out:   r.NewMap,
-			Value: gi.Result, HasValue: true,
-		})
+		o.it.Insert(r.Inst.Op, r.Inst.Imm, r.Src[0], r.Src[1], r.NewMap, false, gi.Result)
 	}
 }
 
@@ -557,13 +513,7 @@ func (o *Optimizer) insertReverseTuples(r *Renamed, gi GroupInst) {
 	if in.Op == isa.OpSt {
 		// st rt, imm(rs): future `ld rX, imm(rs)` integrates to the data
 		// register. Src[0] is the base mapping, Src[1] the data mapping.
-		o.it.Insert(it.Entry{
-			Op: isa.OpLd, Imm: in.Imm,
-			In1: r.Src[0], In2: zeroMap,
-			Out:     r.Src[1],
-			Reverse: true,
-			Value:   gi.Result, HasValue: true,
-		})
+		o.it.Insert(isa.OpLd, in.Imm, r.Src[0], zeroMap, r.Src[1], true, gi.Result)
 		return
 	}
 	// Reverse addi entries for stack-pointer adjustment, so bypassing
@@ -571,13 +521,8 @@ func (o *Optimizer) insertReverseTuples(r *Renamed, gi GroupInst) {
 	// (Figure 3 bottom, second row).
 	if o.it.PolicyOf() == it.PolicyFull && !o.cfg.EnableCF &&
 		isa.IsRegImmAdd(in) && in.Rd == isa.RSP && in.Rs == isa.RSP && r.HasDest {
-		o.it.Insert(it.Entry{
-			Op: in.Op, Imm: -in.Imm,
-			In1: r.NewMap, In2: zeroMap,
-			Out:     r.OldMap,
-			Reverse: true,
-			Value:   gi.Result - uint64(int64(isa.FoldedDisp(in))), HasValue: true,
-		})
+		o.it.Insert(in.Op, -in.Imm, r.NewMap, zeroMap, r.OldMap, true,
+			gi.Result-uint64(int64(isa.FoldedDisp(in))))
 	}
 }
 
@@ -641,11 +586,20 @@ func (o *Optimizer) fusePenalty(in isa.Inst, d1, d2 bool) int {
 //
 //reno:hotpath
 func (o *Optimizer) Commit(r *Renamed) {
-	if !r.HasDest {
-		return
+	if r.HasDest {
+		o.Release(r.OldMap.P)
 	}
-	if freed := o.rc.Dec(r.OldMap.P); freed && o.it != nil {
-		o.it.InvalidatePhys(r.OldMap.P)
+}
+
+// Release drops the hold a retiring instruction keeps on p, the physical
+// register its destination's previous mapping named. A register whose
+// count reaches zero is reclaimed, invalidating its integration-table
+// tuples. Commit is Release of the record's displaced register.
+//
+//reno:hotpath
+func (o *Optimizer) Release(p int) {
+	if freed := o.rc.Dec(p); freed && o.it != nil {
+		o.it.InvalidatePhys(p)
 	}
 }
 

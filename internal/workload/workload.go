@@ -18,8 +18,7 @@
 // per-benchmark Profile knobs are tuned so the dynamic instruction mixes
 // land in the bands the paper reports (moves ~4% average, register-immediate
 // additions 12%/17% SPEC/MediaBench averages, mpeg2.decode at the top, and
-// crafty/vpr.place/mcf below 10%). See DESIGN.md §2 for the substitution
-// argument and the workload tests for the enforced bands.
+// crafty/vpr.place/mcf below 10%). The workload tests enforce the bands.
 package workload
 
 import (
